@@ -44,6 +44,7 @@ __all__ = [
     "check_postordered",
     "check_partition",
     "check_symbolic",
+    "check_assembly_plan",
     "check_frontal_balance",
     "check_ledger",
 ]
@@ -235,10 +236,12 @@ def check_partition(partition: Any, n: int) -> None:
 # -- whole symbolic factors --------------------------------------------------
 
 
-def check_symbolic(sym: Any) -> None:
+def check_symbolic(sym: Any, lower: Any = None) -> None:
     """Composite invariant check of a :class:`~repro.symbolic.analyze.
     SymbolicFactor`: permutation validity, postordered etree, partition
-    coverage, per-supernode row structure, and assembly-tree consistency."""
+    coverage, per-supernode row structure, assembly-tree consistency, and
+    the assembly plan (:func:`check_assembly_plan`; its value map only when
+    the unpermuted *lower* triangle is given)."""
     n = int(sym.n)
     check_permutation(sym.perm, n)
     check_postordered(sym.parent)
@@ -263,6 +266,104 @@ def check_symbolic(sym: Any) -> None:
                 f"supernode {s}: assembly-tree parent {p} invalid "
                 f"(must be in ({s}, {nsn}))"
             )
+    check_assembly_plan(sym, lower)
+
+
+def check_assembly_plan(sym: Any, lower: Any = None) -> None:
+    """The analyze-time assembly maps agree with the structure they index:
+
+    * every scatter position ``dst[s]`` lies in the front's lower
+      triangle, in a pivot column, at the row and column of the entry it
+      places;
+    * ``parent_rows[relix[c]]`` reproduces child c's update rows;
+    * ``vmap`` reproduces ``permute_symmetric_lower(lower, perm).data``
+      (only when *lower* is given).
+    """
+    plan = sym.assembly
+    a = sym.permuted_lower
+    nsn = int(sym.partition.n_supernodes)
+    sn_start = np.asarray(sym.partition.sn_start, dtype=np.int64)
+    if len(plan.dst) != nsn or len(plan.relix) != nsn:
+        raise _fail(
+            f"assembly plan covers {len(plan.dst)}/{len(plan.relix)} "
+            f"supernodes, the partition has {nsn}"
+        )
+    a_ptr = np.asarray(plan.a_ptr, dtype=np.int64)
+    if not np.array_equal(a_ptr, a.indptr[sn_start]):
+        raise _fail("assembly plan: entry ranges a_ptr disagree with indptr")
+    for s in range(nsn):
+        c0, c1 = int(sn_start[s]), int(sn_start[s + 1])
+        rows = np.asarray(sym.sn_rows[s], dtype=np.int64)
+        m = rows.size
+        dst = np.asarray(plan.dst[s], dtype=np.int64)
+        lo, hi = int(a_ptr[s]), int(a_ptr[s + 1])
+        if dst.size != hi - lo:
+            raise _fail(
+                f"supernode {s}: scatter map has {dst.size} positions for "
+                f"{hi - lo} entries"
+            )
+        if dst.size and (dst.min() < 0 or dst.max() >= m * m):
+            raise _fail(f"supernode {s}: scatter position out of [0, {m * m})")
+        r, k = np.divmod(dst, max(m, 1))
+        if np.any(k >= c1 - c0) or np.any(r < k):
+            bad = int(np.argmax((k >= c1 - c0) | (r < k)))
+            raise _fail(
+                f"supernode {s}: scatter position {int(dst[bad])} = "
+                f"({int(r[bad])}, {int(k[bad])}) is not in the lower "
+                f"triangle of the {c1 - c0} pivot columns"
+            )
+        cols = np.repeat(np.arange(c0, c1), np.diff(a.indptr[c0: c1 + 1]))
+        if not (
+            np.array_equal(rows[r], a.indices[lo:hi])
+            and np.array_equal(c0 + k, cols)
+        ):
+            raise _fail(
+                f"supernode {s}: scatter map places entries away from "
+                "their (row, column)"
+            )
+        p = int(sym.sn_parent[s])
+        relix = np.asarray(plan.relix[s], dtype=np.int64)
+        update_rows = rows[c1 - c0:]
+        if p < 0:
+            if relix.size:
+                raise _fail(f"root supernode {s} has relative indices")
+            continue
+        prows = np.asarray(sym.sn_rows[p], dtype=np.int64)
+        if (
+            relix.size != update_rows.size
+            or (relix.size and (relix.min() < 0 or relix.max() >= prows.size))
+            or not np.array_equal(prows[relix], update_rows)
+        ):
+            raise _fail(
+                f"supernode {s}: relative indices do not reproduce its "
+                f"update rows in parent {p}"
+            )
+    if lower is not None:
+        _check_value_map(plan.vmap, a, lower, sym.perm)
+
+
+def _check_value_map(vmap: Any, permuted: Any, lower: Any, perm: Any) -> None:
+    """``permuted.data == lower.data[vmap]``, derived independently: entry
+    (i, j) of the permuted triangle is A[perm[i], perm[j]], the entry of
+    *lower* at the (max, min) of the original indices."""
+    n = int(lower.shape[0])
+    perm = np.asarray(perm, dtype=np.int64)
+    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(permuted.indptr))
+    ri = perm[np.asarray(permuted.indices, dtype=np.int64)]
+    ci = perm[cols]
+    want = np.minimum(ri, ci) * n + np.maximum(ri, ci)
+    lcols = np.repeat(np.arange(n, dtype=np.int64), np.diff(lower.indptr))
+    lrows = np.asarray(lower.indices, dtype=np.int64)
+    keys = np.minimum(lrows, lcols) * n + np.maximum(lrows, lcols)
+    order = np.argsort(keys, kind="stable")
+    found = np.minimum(np.searchsorted(keys[order], want), max(keys.size - 1, 0))
+    pos = order[found] if keys.size else found
+    vmap = np.asarray(vmap, dtype=np.int64)
+    if vmap.shape != pos.shape or not np.array_equal(vmap, pos):
+        raise _fail(
+            "assembly plan: value map does not reproduce the permuted "
+            "lower triangle"
+        )
 
 
 # -- frontal update stack ----------------------------------------------------

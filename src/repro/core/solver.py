@@ -43,6 +43,7 @@ from repro.parallel.plan import PlanOptions
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import sym_matvec_lower_many, tril, is_structurally_symmetric
 from repro.symbolic.analyze import AnalyzeOptions, SymbolicFactor, analyze
+from repro.symbolic.assembly import gather_values
 from repro.util.errors import PatternMismatchError, ReproError, ShapeError
 
 #: execution backends of the numeric phases: ``"seq"`` runs on the host
@@ -447,11 +448,15 @@ class SparseSolver:
                 "SparseSolver (or re-analyze) for a different structure"
             )
         self.lower = lower
-        # Permute the new values through the existing symbolic ordering.
-        from repro.sparse.permute import permute_symmetric_lower
-
-        self.sym.permuted_lower = permute_symmetric_lower(
-            lower, self.sym.perm
+        # Carry the new values through the analyzed ordering: one gather
+        # with the analysis' value map (the pattern is unchanged).
+        old = self.sym.permuted_lower
+        self.sym.permuted_lower = CSCMatrix(
+            old.shape,
+            old.indptr,
+            old.indices,
+            gather_values(lower, self.sym.assembly.vmap),
+            _skip_check=True,
         )
         self.numeric = None
 

@@ -90,7 +90,7 @@ def multifrontal_factor_threads(
     diag = np.empty(sym.n, dtype=wdtype) if method == "ldlt" else None
     #: per-supernode update slots: written once by the owning task,
     #: consumed (and cleared) once by the parent's task
-    updates: list[tuple[np.ndarray, np.ndarray] | None] = [None] * nsn
+    updates: list[np.ndarray | None] = [None] * nsn
     per_flops = np.zeros(nsn, dtype=np.int64)
     per_perturbed: list[list[int]] = [[] for _ in range(nsn)]
     prof = active_profile()
@@ -107,7 +107,7 @@ def multifrontal_factor_threads(
     def run_task(s: int) -> None:
         w = sym.supernode_width(s)
         c0 = int(sym.partition.sn_start[s])
-        kids: list[tuple[np.ndarray, np.ndarray]] = []
+        kids: list[tuple[int, np.ndarray]] = []
         freed = 0
         for c in sym.sn_children[s]:
             u = updates[c]
@@ -119,8 +119,8 @@ def multifrontal_factor_threads(
             if tr is not None:
                 tr.add("slot_consume", task=s, slot=f"upd:{c}")
             updates[c] = None
-            freed += u[0].size
-            kids.append(u)
+            freed += u.size
+            kids.append((c, u))
         block, d, update, fflops = factor_front(
             sym, s, method, perturb_abs, kids, per_perturbed[s], prof,
             dtype=wdtype,
@@ -132,7 +132,7 @@ def multifrontal_factor_threads(
         if update is not None and tr is not None:
             tr.add("slot_write", task=s, slot=f"upd:{s}")
         per_flops[s] = fflops
-        grown = 0 if update is None else update[0].size
+        grown = 0 if update is None else update.size
         with acct_lock:
             resident["entries"] += grown - freed
             if resident["entries"] > resident["peak"]:

@@ -22,10 +22,10 @@ import numpy as np
 
 from repro.dense.trsm import solve_unit_lower_inplace
 from repro.mf.accounting import FactorStats
-from repro.mf.frontal import front_local_indices
+from repro.mf.frontal import extend_add
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.convert import coo_to_csc, csc_to_coo, csc_to_csr
+from repro.sparse.convert import coo_to_csc, csc_to_coo
 from repro.sparse.permute import permute_vector, unpermute_vector
 from repro.symbolic.analyze import (
     AnalyzeOptions,
@@ -119,26 +119,47 @@ def lu_analyze(
     return sym, permuted_full
 
 
-def _assemble_lu_front(
-    a_cols: CSCMatrix,
-    a_rows,  # CSR of the permuted matrix
-    rows: np.ndarray,
-    c0: int,
-    w: int,
-) -> np.ndarray:
-    """Full m×m front with A's pivot columns and pivot rows scattered in."""
-    m = rows.size
+def lu_scatter(
+    sym: SymbolicFactor, permuted_full: CSCMatrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat front positions of every entry of the permuted full matrix,
+    grouped by supernode: returns ``(pos, vals, ptr)`` with supernode s
+    owning ``pos[ptr[s]:ptr[s+1]]``.
+
+    Entry (i, j) sits at the same front position as the symmetrized
+    pattern's entry (max, min) in the analysis' scatter map — transposed
+    when it lies above the diagonal (the U part of the pivot rows).
+    """
+    n = sym.n
+    asm = sym.assembly
+    pattern = sym.permuted_lower
+    rows = permuted_full.indices
+    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(permuted_full.indptr))
+    lo = np.minimum(rows, cols)
+    hi = np.maximum(rows, cols)
+    pat_cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
+    keys = pat_cols * n + pattern.indices
+    want = lo * n + hi
+    e = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    if not np.array_equal(keys[e], want):
+        raise ShapeError("permuted matrix has entries outside the analyzed pattern")
+    sn = sym.partition.col_to_sn[lo]
+    m = np.fromiter((r.size for r in sym.sn_rows), dtype=np.int64)[sn]
+    flat = np.concatenate(asm.dst).astype(np.intp)[e]
+    r, c = np.divmod(flat, m)
+    pos = np.where(rows >= cols, flat, c * m + r)
+    order = np.argsort(sn, kind="stable")
+    ptr = np.zeros(sym.n_supernodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sn, minlength=sym.n_supernodes), out=ptr[1:])
+    return pos[order], permuted_full.data[order], ptr
+
+
+def assemble_lu_front(scatter, s: int, m: int) -> np.ndarray:
+    """Full m×m front of supernode *s* with A's pivot columns and pivot
+    rows scattered in (*scatter* from :func:`lu_scatter`)."""
+    pos, vals, ptr = scatter
     front = np.zeros((m, m))
-    for k in range(w):
-        j = c0 + k
-        r_idx, r_vals = a_cols.col(j)
-        keep = r_idx >= j
-        local = front_local_indices(rows, r_idx[keep])
-        front[local, k] = r_vals[keep]
-        cols_idx, c_vals = a_rows.row(j)
-        keep = cols_idx > j
-        local = front_local_indices(rows, cols_idx[keep])
-        front[k, local] = c_vals[keep]
+    front.ravel()[pos[ptr[s]: ptr[s + 1]]] = vals[ptr[s]: ptr[s + 1]]
     return front
 
 
@@ -179,7 +200,8 @@ def multifrontal_lu(
     pivot_perturbation: float | None = None,
 ) -> LUFactor:
     """Numeric LU factorization over the symmetric analysis *sym*."""
-    a_rows = csc_to_csr(permuted_full)
+    scatter = lu_scatter(sym, permuted_full)
+    relix = sym.assembly.relix
     nsn = sym.n_supernodes
     lu11: list[np.ndarray] = [None] * nsn  # type: ignore[list-item]
     l21: list[np.ndarray] = [None] * nsn  # type: ignore[list-item]
@@ -191,17 +213,14 @@ def multifrontal_lu(
         scale = float(np.max(np.abs(permuted_full.data), initial=0.0))
         perturb_abs = pivot_perturbation * max(scale, 1.0)
 
-    updates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    updates: dict[int, np.ndarray] = {}
     for s in range(nsn):
-        rows = sym.sn_rows[s]
+        m = sym.front_size(s)
         w = sym.supernode_width(s)
         c0 = int(sym.partition.sn_start[s])
-        front = _assemble_lu_front(permuted_full, a_rows, rows, c0, w)
+        front = assemble_lu_front(scatter, s, m)
         for c in sym.sn_children[s]:
-            upd, upd_rows = updates.pop(c)
-            ix = front_local_indices(rows, upd_rows)
-            front[np.ix_(ix, ix)] += upd
-        m = rows.size
+            extend_add(front, relix[c], updates.pop(c))
         _partial_lu(front, w, perturb_abs, c0, perturbed)
         lu11[s] = front[:w, :w].copy()
         l21[s] = front[w:, :w].copy()
@@ -210,7 +229,7 @@ def multifrontal_lu(
         stats.observe_front(m, w, 2 * dense_partial_factor_flops(m, w))
         stats.factor_entries += w * w + 2 * (m - w) * w
         if m > w:
-            updates[s] = (front[w:, w:].copy(), rows[w:])
+            updates[s] = front[w:, w:].copy()
     if updates:
         raise AssertionError(f"unconsumed LU updates: {sorted(updates)}")
     return LUFactor(

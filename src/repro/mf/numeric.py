@@ -15,8 +15,7 @@ import numpy as np
 
 from repro.dense.partial_factor import partial_cholesky, partial_ldlt
 from repro.mf.accounting import FactorStats
-from repro.mf.extend_add import extend_add
-from repro.mf.frontal import assemble_front
+from repro.mf.frontal import assemble_front, extend_add
 from repro.obs.profile import active_profile
 from repro.obs.spans import span
 from repro.symbolic.analyze import SymbolicFactor, dense_partial_factor_flops
@@ -88,7 +87,7 @@ def factor_front(
     perturbed: list[int],
     prof,
     dtype: np.dtype = VALUE_DTYPE,
-) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, np.ndarray] | None, int]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, int]:
     """Assemble, extend-add, and partially factor the front of supernode *s*.
 
     Shared by the sequential driver below and the threads backend
@@ -99,8 +98,8 @@ def factor_front(
     Parameters
     ----------
     child_updates
-        Iterable of ``(update, update_rows)`` pairs in ascending child
-        order. May be a generator: the sequential driver pops (and
+        Iterable of ``(child, update)`` pairs in ascending child order.
+        May be a generator: the sequential driver pops (and
         spill-accounts) each child's update lazily at exactly the point
         the pre-refactor loop did.
     perturbed
@@ -114,18 +113,20 @@ def factor_front(
         this dtype.
 
     Returns ``(block, d, update, front_flops)``: the m×w factor panel
-    copy, the LDLᵀ pivots (None for Cholesky), the Schur update as
-    ``(matrix, rows)`` (None when the front has no update rows), and the
-    dense partial-factorization flop count.
+    copy, the LDLᵀ pivots (None for Cholesky), the Schur update matrix
+    (None when the front has no update rows), and the dense
+    partial-factorization flop count. The update is pushed with its
+    meaningless upper triangle zeroed (``tril``), so the parent's
+    extend-add adds it whole.
     """
-    a = sym.permuted_lower
-    rows = sym.sn_rows[s]
+    relix = sym.assembly.relix
     w = sym.supernode_width(s)
     c0 = int(sym.partition.sn_start[s])
-    front = assemble_front(a, rows, c0, w, dtype=dtype)
-    for upd, upd_rows in child_updates:
-        extend_add(front, rows, upd, upd_rows)
-    m = rows.size
+    t_asm = prof.clock() if prof is not None else 0.0
+    front = assemble_front(sym, s, dtype=dtype)
+    for c, upd in child_updates:
+        extend_add(front, relix[c], upd)
+    m = front.shape[0]
     t_front = prof.clock() if prof is not None else 0.0
     d: np.ndarray | None = None
     if method == "cholesky":
@@ -136,9 +137,12 @@ def factor_front(
         )
     front_flops = dense_partial_factor_flops(m, w)
     if prof is not None:
-        prof.observe_front(s, m, w, front_flops, prof.clock() - t_front)
+        prof.observe_front(
+            s, m, w, front_flops, prof.clock() - t_front,
+            itemsize=front.itemsize, assembly_seconds=t_front - t_asm,
+        )
     block = front[:, :w].copy()
-    update = (front[w:, w:].copy(), rows[w:]) if m > w else None
+    update = np.tril(front[w:, w:]) if m > w else None
     return block, d, update, front_flops
 
 
@@ -189,7 +193,7 @@ def multifrontal_factor(
     stats = FactorStats()
     perturbed: list[int] = []
 
-    updates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    updates: dict[int, np.ndarray] = {}
     #: supernodes whose updates are currently "on disk" (out-of-core mode)
     spilled: set[int] = set()
     stack_entries = 0
@@ -209,7 +213,7 @@ def multifrontal_factor(
                 break
             if c in spilled:
                 continue
-            upd, _ = updates[c]
+            upd = updates[c]
             spilled.add(c)
             stats.spill_entries_written += upd.size
             stack_entries -= upd.size
@@ -221,13 +225,13 @@ def multifrontal_factor(
         them, keeping out-of-core accounting unchanged."""
         nonlocal stack_entries
         for c in sym.sn_children[s]:
-            upd, upd_rows = updates.pop(c)
+            upd = updates.pop(c)
             if c in spilled:
                 spilled.discard(c)
                 stats.spill_entries_read += upd.size
             else:
                 stack_entries -= upd.size
-            yield upd, upd_rows
+            yield c, upd
 
     # Observability: one span over the numeric phase; per-front timing is
     # recorded only when a recorder is installed (prof None check keeps the
@@ -254,7 +258,7 @@ def multifrontal_factor(
             stats.factor_entries += m * w - w * (w - 1) // 2
             if update is not None:
                 updates[s] = update
-                stack_entries += update[0].size
+                stack_entries += update.size
                 stats.peak_stack_entries = max(stats.peak_stack_entries, stack_entries)
                 enforce_memory_cap(0)
 

@@ -6,7 +6,8 @@ says the kernel *should* run at. :class:`FrontProfile` collects, per
 supernode:
 
 * **host samples** — front order, panel width, flop count, bytes touched,
-  and measured wall seconds of the dense partial factorization
+  and measured wall seconds of the dense partial factorization and of the
+  assembly plus extend-add before it
   (:mod:`repro.mf.numeric` feeds these when a recorder is installed);
 * **simulated flops** — the per-supernode flops charged by the distributed
   rank program (:mod:`repro.parallel.factor_par`), summed over ranks.
@@ -50,10 +51,12 @@ class FrontRecord:
     #: pivot columns eliminated
     width: int
     flops: int
-    #: working-set bytes of the front (8-byte reals)
+    #: working-set bytes of the front (m² entries of its working dtype)
     nbytes: int
     #: measured host wall time of the partial factorization [s]
     seconds: float
+    #: measured host wall time of assembly plus extend-add [s]
+    assembly_seconds: float = 0.0
 
     @property
     def gflops(self) -> float:
@@ -74,16 +77,26 @@ class FrontProfile:
         self.sim_flops: dict[int, float] = {}
 
     def observe_front(
-        self, supernode: int, m: int, width: int, flops: int, seconds: float
+        self,
+        supernode: int,
+        m: int,
+        width: int,
+        flops: int,
+        seconds: float,
+        itemsize: int = 8,
+        assembly_seconds: float = 0.0,
     ) -> None:
+        """Record one host front; *itemsize* is the bytes per entry of the
+        front's working dtype (4 for fp32 fronts)."""
         self.host.append(
             FrontRecord(
                 supernode=supernode,
                 m=m,
                 width=width,
                 flops=flops,
-                nbytes=8 * m * m,
+                nbytes=itemsize * m * m,
                 seconds=seconds,
+                assembly_seconds=assembly_seconds,
             )
         )
 
@@ -99,6 +112,10 @@ class FrontProfile:
     @property
     def total_seconds(self) -> float:
         return sum(r.seconds for r in self.host)
+
+    @property
+    def total_assembly_seconds(self) -> float:
+        return sum(r.assembly_seconds for r in self.host)
 
     @property
     def total_bytes(self) -> int:

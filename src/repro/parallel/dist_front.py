@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.parallel.plan import FactorPlan, SupernodeDist
-from repro.sparse.csc import CSCMatrix
 
 
 class LocalFront:
@@ -72,28 +71,13 @@ def assemble_dist_entries(
     solvers; re-distribution of A is not part of the timed factorization).
     """
     sym = plan.sym
-    a: CSCMatrix = sym.permuted_lower
+    asm = sym.assembly
     d = plan.dist[s]
-    rows = sym.sn_rows[s]
-    n_scattered = 0
-    for k in range(d.width):
-        j = d.c0 + k
-        bj = int(d.block_of(np.asarray([k]))[0])
-        a_rows, a_vals = a.col(j)
-        keep = a_rows >= j
-        a_rows, a_vals = a_rows[keep], a_vals[keep]
-        if a_rows.size == 0:
-            continue
-        pa = np.searchsorted(rows, a_rows)
-        bi = d.block_of(pa)
-        mine = np.asarray(
-            [d.grid.owner(int(i), bj) == me for i in bi], dtype=bool
-        )
-        if not mine.any():
-            continue
-        lf.add_entries(pa[mine], np.full(int(mine.sum()), k, dtype=np.int64), a_vals[mine])
-        n_scattered += int(mine.sum())
-    return n_scattered
+    lo, hi = asm.a_ptr[s], asm.a_ptr[s + 1]
+    pa, pb = np.divmod(asm.dst[s].astype(np.intp), d.m)
+    mine = d.grid.owners(d.block_of(pa), d.block_of(pb)) == me
+    lf.add_entries(pa[mine], pb[mine], sym.permuted_lower.data[lo:hi][mine])
+    return int(mine.sum())
 
 
 def pack_update_messages(

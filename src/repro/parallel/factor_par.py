@@ -199,7 +199,7 @@ def _seq_step(comm, plan, s, me, method, data, seq_updates, dist_updates):
     rows = sym.sn_rows[s]
     m = rows.size
     w = d.width
-    front = assemble_front(sym.permuted_lower, rows, d.c0, w)
+    front = assemble_front(sym, s)
     live_delta = m * m
 
     def apply_fn(pa, pb, vals):

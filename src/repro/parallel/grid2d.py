@@ -89,6 +89,10 @@ class ProcessGrid:
         """Global rank owning block (bi, bj)."""
         return self.at(bi % self.gr, bj % self.gc)
 
+    def owners(self, bi: np.ndarray, bj: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`owner` over arrays of block coordinates."""
+        return np.asarray(self.ranks)[(bi % self.gr) * self.gc + bj % self.gc]
+
     def row_members(self, r: int) -> tuple[int, ...]:
         """Global ranks of grid row r (left to right)."""
         return tuple(self.at(r, c) for c in range(self.gc))

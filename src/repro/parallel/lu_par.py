@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dense.trsm import solve_unit_lower_inplace
-from repro.mf.lu import _assemble_lu_front, _partial_lu
+from repro.mf.lu import _partial_lu, assemble_lu_front, lu_scatter
 from repro.parallel.factor_par import ea_message_nbytes, gemm_flops, trsm_flops
 from repro.parallel.plan import FactorPlan, PlanOptions, SupernodeDist
 from repro.simmpi.comm import Comm
 from repro.simmpi.ops import Compute, Recv, Send
-from repro.sparse.convert import csc_to_csr
 from repro.symbolic.analyze import SymbolicFactor, dense_partial_factor_flops
 
 
@@ -177,7 +176,7 @@ def make_lu_factor_program(
     pivot_perturbation: float | None = None,
 ):
     """Rank program for the distributed LU factorization."""
-    a_rows = csc_to_csr(permuted_full)
+    scatter = lu_scatter(plan.sym, permuted_full)
     perturb_abs = None
     if pivot_perturbation is not None:
         scale = float(np.max(np.abs(permuted_full.data), initial=0.0))
@@ -195,12 +194,12 @@ def make_lu_factor_program(
             if d.is_seq:
                 yield from _seq_lu_step(
                     comm, plan, s, me, data, seq_updates, dist_updates,
-                    permuted_full, a_rows, perturb_abs,
+                    scatter, perturb_abs,
                 )
             else:
                 yield from _dist_lu_step(
                     comm, plan, s, me, data, seq_updates, dist_updates,
-                    permuted_full, a_rows, perturb_abs,
+                    scatter, perturb_abs,
                 )
         return data
 
@@ -256,13 +255,13 @@ def _recv_full_contributions(plan, s, me, apply_fn, seq_updates, dist_updates):
 
 
 def _seq_lu_step(
-    comm, plan, s, me, data, seq_updates, dist_updates, a_cols, a_rows, perturb_abs
+    comm, plan, s, me, data, seq_updates, dist_updates, scatter, perturb_abs
 ):
     sym = plan.sym
     d = plan.dist[s]
     rows = sym.sn_rows[s]
     m, w = rows.size, d.width
-    front = _assemble_lu_front(a_cols, a_rows, rows, d.c0, w)
+    front = assemble_lu_front(scatter, s, m)
 
     def apply_fn(pa, pb, vals):
         np.add.at(front, (pa, pb), vals)
@@ -286,7 +285,7 @@ def _seq_lu_step(
 
 
 def _dist_lu_step(
-    comm, plan, s, me, data, seq_updates, dist_updates, a_cols, a_rows, perturb_abs
+    comm, plan, s, me, data, seq_updates, dist_updates, scatter, perturb_abs
 ):
     sym = plan.sym
     d = plan.dist[s]
@@ -297,7 +296,7 @@ def _dist_lu_step(
     col_comm = Comm(me, grid.col_members(myc), ctx=("lsn", s, "col", myc))
 
     lf = LocalFrontLU(d, me)
-    n_assembled = _assemble_dist_lu(plan, s, me, lf, a_cols, a_rows)
+    n_assembled = _assemble_dist_lu(plan, s, me, lf, scatter)
     yield Compute(mem_bytes=16.0 * n_assembled)
 
     yield from _recv_full_contributions(
@@ -372,49 +371,15 @@ def _dist_lu_step(
         yield from _send_full_update(plan, s, me, seq_updates, dist_updates)
 
 
-def _assemble_dist_lu(plan, s, me, lf: LocalFrontLU, a_cols, a_rows) -> int:
-    sym = plan.sym
+def _assemble_dist_lu(plan, s, me, lf: LocalFrontLU, scatter) -> int:
+    """Scatter this rank's share of A's pivot columns and rows into its
+    front blocks; returns the number of entries scattered."""
+    pos, vals, ptr = scatter
     d = plan.dist[s]
-    rows = sym.sn_rows[s]
-    n_scattered = 0
-    for k in range(d.width):
-        j = d.c0 + k
-        bj = int(d.block_of(np.asarray([k]))[0])
-        # Column part (L side, rows >= j).
-        r_idx, r_vals = a_cols.col(j)
-        keep = r_idx >= j
-        r_idx, r_vals = r_idx[keep], r_vals[keep]
-        if r_idx.size:
-            pa = np.searchsorted(rows, r_idx)
-            bi = d.block_of(pa)
-            mine = np.asarray(
-                [d.grid.owner(int(i), bj) == me for i in bi], dtype=bool
-            )
-            if mine.any():
-                lf.add_entries(
-                    pa[mine],
-                    np.full(int(mine.sum()), k, dtype=np.int64),
-                    r_vals[mine],
-                )
-                n_scattered += int(mine.sum())
-        # Row part (U side, cols > j).
-        c_idx, c_vals = a_rows.row(j)
-        keep = c_idx > j
-        c_idx, c_vals = c_idx[keep], c_vals[keep]
-        if c_idx.size:
-            pb = np.searchsorted(rows, c_idx)
-            bjs = d.block_of(pb)
-            mine = np.asarray(
-                [d.grid.owner(bj, int(jb)) == me for jb in bjs], dtype=bool
-            )
-            if mine.any():
-                lf.add_entries(
-                    np.full(int(mine.sum()), k, dtype=np.int64),
-                    pb[mine],
-                    c_vals[mine],
-                )
-                n_scattered += int(mine.sum())
-    return n_scattered
+    pa, pb = np.divmod(pos[ptr[s]: ptr[s + 1]], d.m)
+    mine = d.grid.owners(d.block_of(pa), d.block_of(pb)) == me
+    lf.add_entries(pa[mine], pb[mine], vals[ptr[s]: ptr[s + 1]][mine])
+    return int(mine.sum())
 
 
 def _lu_solve_redistribution(plan, s, me, lf: LocalFrontLU, data):

@@ -69,6 +69,8 @@ class SupernodeDist:
     starts: np.ndarray | None = None
     #: number of pivot block-columns
     npb: int = 0
+    #: block size of the layout (0 for sequential)
+    nb: int = 0
 
     @property
     def is_seq(self) -> bool:
@@ -79,8 +81,12 @@ class SupernodeDist:
         return 0 if self.starts is None else self.starts.size - 1
 
     def block_of(self, local_idx) -> np.ndarray:
-        """Block id(s) containing front-local row index/indices."""
-        return np.searchsorted(self.starts, local_idx, side="right") - 1
+        """Block id(s) containing front-local row index/indices (the
+        pivot and update regions are chunked by ``nb`` independently, see
+        :func:`~repro.parallel.grid2d.block_starts`)."""
+        i = np.asarray(local_idx, dtype=np.int64)
+        w = self.width
+        return np.where(i < w, i // self.nb, self.npb + (i - w) // self.nb)
 
     def block_range(self, b: int) -> tuple[int, int]:
         return int(self.starts[b]), int(self.starts[b + 1])
@@ -106,7 +112,6 @@ class FactorPlan:
         self.dist: list[SupernodeDist] = [
             self._build_dist(s) for s in range(sym.n_supernodes)
         ]
-        self._parent_pos_cache: dict[int, np.ndarray] = {}
         self._ea_runs_cache: dict[int, list[tuple[int, int, int, int]]] = {}
 
     # -- construction ------------------------------------------------------
@@ -152,7 +157,8 @@ class FactorPlan:
         # `starts` aligns the pivot boundary, so starts[npb] == w.
         assert starts[npb] == w
         return SupernodeDist(
-            s=s, group=group, m=m, width=w, c0=c0, grid=grid, starts=starts, npb=npb
+            s=s, group=group, m=m, width=w, c0=c0, grid=grid, starts=starts,
+            npb=npb, nb=opts.nb,
         )
 
     # -- queries -----------------------------------------------------------
@@ -177,17 +183,11 @@ class FactorPlan:
         return tuple(sorted(owners))
 
     def parent_positions(self, c: int) -> np.ndarray:
-        """Front-local positions in the parent of child *c*'s update rows."""
-        if c not in self._parent_pos_cache:
-            sym = self.sym
-            p = int(sym.sn_parent[c])
-            if p < 0:
-                raise ShapeError(f"supernode {c} has no parent")
-            wc = sym.supernode_width(c)
-            upd_rows = sym.sn_rows[c][wc:]
-            pos = np.searchsorted(sym.sn_rows[p], upd_rows)
-            self._parent_pos_cache[c] = pos
-        return self._parent_pos_cache[c]
+        """Front-local positions in the parent of child *c*'s update rows
+        (the analysis' relative indices)."""
+        if int(self.sym.sn_parent[c]) < 0:
+            raise ShapeError(f"supernode {c} has no parent")
+        return self.sym.assembly.relix[c]
 
     def ea_runs(self, c: int) -> list[tuple[int, int, int, int]]:
         """Runs of constant (child block, parent block) over child *c*'s

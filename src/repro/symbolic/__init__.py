@@ -9,7 +9,9 @@ The analyze phase runs once per sparsity pattern:
 4. compute per-column L patterns (:func:`symbolic_cholesky`);
 5. detect fundamental supernodes and amalgamate small ones
    (:mod:`repro.symbolic.supernodes`);
-6. assemble everything into a :class:`SymbolicFactor` — the object both the
+6. build the assembly plan (:mod:`repro.symbolic.assembly`): the scatter,
+   relative-index and value maps every numeric factorization reuses;
+7. assemble everything into a :class:`SymbolicFactor` — the object both the
    sequential multifrontal engine and the parallel mapping consume.
 """
 

@@ -15,6 +15,11 @@ import numpy as np
 
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.permute import permute_symmetric_lower
+from repro.symbolic.assembly import (
+    AssemblyPlan,
+    build_assembly_plan,
+    permute_with_value_map,
+)
 from repro.symbolic.etree import etree
 from repro.symbolic.postorder import postorder, relabel_parent, is_postordered
 from repro.symbolic.symbolic_chol import symbolic_cholesky
@@ -28,8 +33,9 @@ from repro.symbolic.supernodes import (
     amalgamate,
     supernode_parents,
     supernode_rows,
+    trapezoid_entries,
 )
-from repro.util.errors import ShapeError
+from repro.util.errors import InvariantError, ShapeError
 from repro.util.validation import check_permutation, runtime_checks_enabled
 
 
@@ -77,6 +83,8 @@ class SymbolicFactor:
     factor_flops: int
     #: one forward+backward solve operation count
     solve_flops: int
+    #: pattern-invariant assembly maps (scatter, relative indices, values)
+    assembly: AssemblyPlan
     sn_children: list[list[int]] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -150,9 +158,10 @@ def analyze(
     parent1 = etree(a1)
     post = postorder(parent1)
     total_perm = p[post]
-    a2 = permute_symmetric_lower(lower, total_perm)
+    a2, vmap = permute_with_value_map(lower, total_perm)
     parent = relabel_parent(parent1, post)
-    assert is_postordered(parent)
+    if not is_postordered(parent):
+        raise InvariantError("relabelled elimination tree is not postordered")
 
     patterns, col_counts, nnz_factor = symbolic_cholesky(a2, parent)
 
@@ -167,27 +176,9 @@ def analyze(
         )
     sn_rows = supernode_rows(part, patterns)
     sn_parent = supernode_parents(part, parent)
-
-    # Assembly-tree soundness: each child's update rows must be contained in
-    # its parent's front rows (the invariant parallel extend-add relies on).
-    for s in range(part.n_supernodes):
-        pa = int(sn_parent[s])
-        if pa < 0:
-            continue
-        width = part.width(s)
-        update = sn_rows[s][width:]
-        missing = np.setdiff1d(update, sn_rows[pa], assume_unique=False)
-        # Rows may skip a parent and belong to a further ancestor only if
-        # they are beyond the parent's columns; those are still in the
-        # parent's front rows by the etree containment property, so any
-        # miss is a bug.
-        if missing.size:
-            raise AssertionError(
-                f"assembly tree violation: supernode {s} update rows "
-                f"{missing[:5]} missing from parent {pa}"
-            )
-
-    from repro.symbolic.supernodes import trapezoid_entries
+    # Also the assembly-tree soundness check: every child's update rows
+    # must lie in its parent's front rows (InvariantError otherwise).
+    plan = build_assembly_plan(a2, vmap, part.sn_start, sn_rows, sn_parent)
 
     nnz_stored = sum(
         trapezoid_entries(r.size, part.width(s)) for s, r in enumerate(sn_rows)
@@ -205,9 +196,10 @@ def analyze(
         nnz_stored=int(nnz_stored),
         factor_flops=factor_flops_from_counts(col_counts),
         solve_flops=solve_flops_from_counts(col_counts),
+        assembly=plan,
     )
     if runtime_checks_enabled():
         from repro.check.sanitize import check_symbolic
 
-        check_symbolic(sym)
+        check_symbolic(sym, lower)
     return sym

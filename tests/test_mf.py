@@ -249,34 +249,56 @@ class TestAccounting:
 
 
 class TestFrontPrimitives:
+    """Assembly and extend-add through the analyze-time assembly plan."""
+
     def test_assemble_front_scatters_columns(self):
         lower = grid2d_laplacian(3)
         sym = analyzed(lower, natural_order)
-        s = 0
-        rows = sym.sn_rows[s]
-        w = sym.supernode_width(s)
-        c0 = int(sym.partition.sn_start[s])
-        front = assemble_front(sym.permuted_lower, rows, c0, w)
         dense = permuted_dense(lower, sym.perm)
-        for k in range(w):
-            np.testing.assert_allclose(front[:, k], dense[rows, c0 + k] * (rows >= c0 + k))
+        for s in range(sym.n_supernodes):
+            rows = sym.sn_rows[s]
+            w = sym.supernode_width(s)
+            c0 = int(sym.partition.sn_start[s])
+            front = assemble_front(sym, s)
+            expect = np.zeros_like(front)
+            for k in range(w):
+                expect[:, k] = np.where(rows >= c0 + k, dense[rows, c0 + k], 0.0)
+            assert front.tobytes() == expect.tobytes()
 
     def test_extend_add_positions(self):
         parent = np.zeros((4, 4))
-        parent_rows = np.array([2, 5, 7, 9])
+        # child update rows [5, 9] inside parent rows [2, 5, 7, 9]
+        relix = np.array([1, 3], dtype=np.int8)
         update = np.array([[1.0, 0.0], [3.0, 4.0]])
-        update_rows = np.array([5, 9])
-        extend_add(parent, parent_rows, update, update_rows)
+        extend_add(parent, relix, update)
         assert parent[1, 1] == 1.0
         assert parent[3, 1] == 3.0
         assert parent[3, 3] == 4.0
-        assert parent[1, 3] == 0.0  # upper garbage not propagated
+        assert parent[1, 3] == 0.0  # the child pushes tril(update)
+        assert np.count_nonzero(parent) == 3
 
     def test_extend_add_missing_row_raises(self):
-        parent = np.zeros((2, 2))
-        with pytest.raises(ShapeError):
-            extend_add(parent, np.array([1, 3]), np.ones((1, 1)), np.array([2]))
+        from repro.symbolic.assembly import build_assembly_plan
+        from repro.util.errors import InvariantError
+
+        lower = grid2d_laplacian(4)
+        sym = analyzed(lower, nested_dissection_order)
+        rows = list(sym.sn_rows)
+        # Give a child an update row its parent's front does not have.
+        for c in range(sym.n_supernodes):
+            p = int(sym.sn_parent[c])
+            extra = [r for r in range(rows[c][-1] + 1, sym.n) if r not in rows[p]]
+            if p >= 0 and extra:
+                rows[c] = np.append(rows[c], extra[0])
+                break
+        with pytest.raises(InvariantError, match="missing from parent"):
+            build_assembly_plan(
+                sym.permuted_lower, sym.assembly.vmap,
+                sym.partition.sn_start, rows, sym.sn_parent,
+            )
 
     def test_extend_add_size_mismatch(self):
         with pytest.raises(ValueError):
-            extend_add(np.zeros((2, 2)), np.array([0, 1]), np.ones((2, 2)), np.array([0]))
+            extend_add(np.zeros((2, 2)), np.array([0, 1]), np.ones((1, 1)))
+        with pytest.raises(ShapeError):
+            extend_add(np.zeros((2, 2)), np.array([0]), np.ones((2, 2)))

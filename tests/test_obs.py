@@ -232,6 +232,23 @@ class TestProfile:
             prof.host, key=lambda r: (r.seconds, r.flops), reverse=True
         )[:3]
 
+    def test_front_bytes_follow_working_precision(self, small_spd_lower):
+        # Regression: fp32 fronts were counted at 8 bytes per entry.
+        lower, _ = small_spd_lower
+        solver = SparseSolver(lower)
+        solver.analyze()
+        profiles = {}
+        for precision in ("fp64", "fp32"):
+            with recording() as rec:
+                solver.factor(precision=precision)
+            profiles[precision] = rec.profile
+        for prec, itemsize in (("fp64", 8), ("fp32", 4)):
+            assert all(
+                r.nbytes == itemsize * r.m * r.m for r in profiles[prec].host
+            )
+        assert profiles["fp64"].total_bytes == 2 * profiles["fp32"].total_bytes
+        assert all(r.assembly_seconds >= 0 for r in profiles["fp32"].host)
+
     def test_sim_flops_recorded_per_supernode(self, small_spd_lower):
         lower, _ = small_spd_lower
         solver = SparseSolver(lower)
