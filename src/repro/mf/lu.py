@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dense.trsm import solve_unit_lower_inplace
+from repro.dense.trsm import solve_lower_transpose_inplace, solve_unit_lower_inplace
 from repro.mf.accounting import FactorStats
 from repro.mf.frontal import extend_add
 from repro.sparse.coo import COOMatrix
@@ -155,8 +155,9 @@ def lu_scatter(
 
 
 def assemble_lu_front(scatter, s: int, m: int) -> np.ndarray:
-    """Full m×m front of supernode *s* with A's pivot columns and pivot
-    rows scattered in (*scatter* from :func:`lu_scatter`)."""
+    """m×m front of supernode *s* with its entries of *scatter* stored: A's
+    pivot columns and pivot rows for a :func:`lu_scatter` (the simulated
+    engine passes the symmetric lower-triangle scatter the same way)."""
     pos, vals, ptr = scatter
     front = np.zeros((m, m))
     front.ravel()[pos[ptr[s]: ptr[s + 1]]] = vals[ptr[s]: ptr[s + 1]]
@@ -269,9 +270,7 @@ def lu_solve(factor: LUFactor, b: np.ndarray) -> np.ndarray:
         piv = y[rows[:w]].copy()
         if rows.size > w:
             piv -= factor.u12[s] @ y[rows[w:]]
-        for j in range(w - 1, -1, -1):
-            if j + 1 < w:
-                piv[j] -= blk[j, j + 1:] @ piv[j + 1:]
-            piv[j] /= blk[j, j]
+        # U is the upper triangle of the packed block: solve with its transpose.
+        solve_lower_transpose_inplace(blk.T, piv)
         y[rows[:w]] = piv
     return unpermute_vector(y, sym.perm)

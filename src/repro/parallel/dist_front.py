@@ -1,8 +1,9 @@
 """One rank's share of a distributed frontal matrix.
 
-Blocks are stored in a dict keyed by block coordinates; only lower-triangle
-blocks (bi >= bj) exist. Assembly, scatter-add of extend-add contributions,
-and packing of outgoing extend-add messages live here.
+Blocks are stored in a dict keyed by block coordinates. A symmetric
+(Cholesky/LDLᵀ) front keeps only its lower-triangle blocks (bi >= bj); an
+LU front keeps every block. Assembly, scatter-add of extend-add
+contributions, and packing of outgoing extend-add messages live here.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ class LocalFront:
 
     __slots__ = ("d", "me", "blocks")
 
-    def __init__(self, d: SupernodeDist, me: int):
+    def __init__(self, d: SupernodeDist, me: int, lower_only: bool = True):
         self.d = d
         self.me = me
         self.blocks: dict[tuple[int, int], np.ndarray] = {}
-        for bi, bj in d.grid.owned_blocks(me, d.nblocks):
+        for bi, bj in d.grid.owned_blocks(me, d.nblocks, lower_only=lower_only):
             r0, r1 = d.block_range(bi)
             c0, c1 = d.block_range(bj)
             self.blocks[(bi, bj)] = np.zeros((r1 - r0, c1 - c0))
@@ -61,22 +62,25 @@ class LocalFront:
 
 
 def assemble_dist_entries(
-    plan: FactorPlan, s: int, me: int, lf: LocalFront
+    plan: FactorPlan, s: int, me: int, lf: LocalFront, scatter
 ) -> int:
     """Scatter this rank's share of A's entries into its front blocks.
+
+    *scatter* is ``(pos, vals, ptr)``: supernode s's entries are
+    ``vals[ptr[s]:ptr[s+1]]`` at flat front positions ``pos[ptr[s]:ptr[s+1]]``
+    (see :func:`repro.parallel.factor_par.front_scatter`).
 
     Returns the number of entries scattered (for memory-traffic charging).
     The input matrix is assumed pre-distributed so that each rank holds the
     entries of the blocks it owns (the standard assumption for distributed
     solvers; re-distribution of A is not part of the timed factorization).
     """
-    sym = plan.sym
-    asm = sym.assembly
+    pos, vals, ptr = scatter
     d = plan.dist[s]
-    lo, hi = asm.a_ptr[s], asm.a_ptr[s + 1]
-    pa, pb = np.divmod(asm.dst[s].astype(np.intp), d.m)
+    lo, hi = ptr[s], ptr[s + 1]
+    pa, pb = np.divmod(pos[lo:hi].astype(np.intp), d.m)
     mine = d.grid.owners(d.block_of(pa), d.block_of(pb)) == me
-    lf.add_entries(pa[mine], pb[mine], sym.permuted_lower.data[lo:hi][mine])
+    lf.add_entries(pa[mine], pb[mine], vals[lo:hi][mine])
     return int(mine.sum())
 
 
@@ -85,13 +89,15 @@ def pack_update_messages(
     c: int,
     me: int,
     value_getter,
+    lower_only: bool = True,
 ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Pack this rank's share of child *c*'s update matrix for its parent.
 
     *value_getter(ia, ib)* returns the update values at child-update-local
     index grids (2-D arrays) — the indirection lets sequential children read
     from a dense update matrix and distributed children read from their
-    blocks.
+    blocks. A symmetric update ships its lower triangle (run pairs b <= a);
+    an LU update (``lower_only=False``) ships every run pair.
 
     Returns ``dest_rank -> (parent_rows, parent_cols, values)`` with only
     nonempty destinations present.
@@ -105,7 +111,7 @@ def pack_update_messages(
     out: dict[int, list] = {}
     for a in range(len(runs)):
         ia0, ia1, cba, pba = runs[a]
-        for b in range(a + 1):
+        for b in range(a + 1 if lower_only else len(runs)):
             ib0, ib1, cbb, pbb = runs[b]
             sender = dc.group[0] if dc.is_seq else dc.grid.owner(cba, cbb)
             if sender != me:
@@ -114,12 +120,12 @@ def pack_update_messages(
             ia = np.arange(ia0, ia1, dtype=np.int64)
             ib = np.arange(ib0, ib1, dtype=np.int64)
             ga, gb = np.meshgrid(ia, ib, indexing="ij")
-            mask = ga >= gb  # lower triangle of the update
-            if not mask.any():
-                continue
             vals_blk = value_getter(ga, gb)
+            if lower_only:
+                mask = ga >= gb  # lower triangle of the update
+                ga, gb, vals_blk = ga[mask], gb[mask], vals_blk[mask]
             out.setdefault(dest, []).append(
-                (pa[ga[mask]], pa[gb[mask]], vals_blk[mask])
+                (pa[ga.ravel()], pa[gb.ravel()], vals_blk.ravel())
             )
     packed = {}
     for dest, pieces in out.items():

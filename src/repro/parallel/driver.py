@@ -3,7 +3,8 @@
 These run the rank programs under the discrete-event simulator, collect the
 per-rank factor pieces, and reassemble/verify results against the
 sequential engine. Factor and solve are timed as separate simulations, the
-way the paper reports them.
+way the paper reports them. One engine serves Cholesky, LDLᵀ and the
+static-pivoting LU (``method="lu"``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from repro.sparse.permute import permute_vector, unpermute_vector
 from repro.symbolic.analyze import SymbolicFactor
 from repro.util.errors import ShapeError
 from repro.util.validation import as_float_array
+
+METHODS = ("cholesky", "ldlt", "lu")
 
 
 @dataclass
@@ -98,6 +101,39 @@ class ParallelFactorResult:
             np.fill_diagonal(l, 1.0)
         return l
 
+    def to_dense_lu(self) -> tuple[np.ndarray, np.ndarray]:
+        """Reassemble dense (L, U) of an LU factorization (tests)."""
+        sym = self.plan.sym
+        n = sym.n
+        l = np.eye(n)
+        u = np.zeros((n, n))
+        for data in self.datas:
+            for s, panel in data.seq_panels.items():
+                rows = sym.sn_rows[s]
+                w = sym.supernode_width(s)
+                c0 = int(sym.partition.sn_start[s])
+                cols = np.arange(c0, c0 + w)
+                l[np.ix_(cols, cols)] = np.tril(panel[:w], -1) + np.eye(w)
+                u[np.ix_(cols, cols)] = np.triu(panel[:w])
+                if rows.size > w:
+                    l[np.ix_(rows[w:], cols)] = panel[w:]
+                    u[np.ix_(cols, rows[w:])] = data.seq_upanels[s]
+            for s, segs in data.dist_row_panels.items():
+                d = self.plan.dist[s]
+                rows = sym.sn_rows[s]
+                c0 = int(sym.partition.sn_start[s])
+                for bi, arr in segs.items():
+                    r0, r1 = d.block_range(bi)
+                    for li, r in enumerate(range(r0, r1)):
+                        gr_ = rows[r]
+                        if bi < d.npb:
+                            # Full factor row: L strictly left, U from diag.
+                            l[gr_, c0: c0 + r] = arr[li, :r]
+                            u[gr_, rows[r:]] = arr[li, r:]
+                        else:
+                            l[gr_, c0: c0 + d.width] = arr[li, : d.width]
+        return l, u
+
     def assemble_diag(self) -> np.ndarray | None:
         """Global LDLᵀ pivot vector (None for Cholesky)."""
         if self.method != "ldlt":
@@ -152,8 +188,15 @@ def simulate_factorization(
     threads_per_rank: int = 1,
     trace: bool = False,
     plan: FactorPlan | None = None,
+    permuted_full=None,
+    pivot_perturbation: float | None = None,
 ) -> ParallelFactorResult:
     """Run the distributed factorization on the simulated machine.
+
+    ``method="lu"`` factors *permuted_full* (the full matrix permuted by
+    the analysis of its symmetrized pattern, see
+    :func:`repro.mf.lu.lu_analyze`) with static pivoting: pivots below
+    ``pivot_perturbation · max|A|`` are perturbed, or raise when it is None.
 
     With ``trace=True`` the result's ``sim.trace`` carries the per-rank
     event timeline (see :mod:`repro.analysis.tracing`).
@@ -162,6 +205,12 @@ def simulate_factorization(
     construction — the plan is purely structural, so serving layers reuse
     it across numeric re-factorizations of the same pattern.
     """
+    if method not in METHODS:
+        raise ShapeError(f"unknown method {method!r}; known: {METHODS}")
+    if (method == "lu") != (permuted_full is not None):
+        raise ShapeError("permuted_full is the LU input: pass it with method='lu' only")
+    if pivot_perturbation is not None and method != "lu":
+        raise ShapeError("pivot_perturbation applies to method='lu' only")
     if plan is None:
         with span("parallel.plan", ranks=n_ranks):
             plan = FactorPlan(sym, n_ranks, options)
@@ -169,7 +218,9 @@ def simulate_factorization(
         raise ShapeError(
             "prebuilt plan does not match this symbolic factor / rank count"
         )
-    program = make_factor_program(plan, method=method)
+    program = make_factor_program(
+        plan, method, permuted_full, pivot_perturbation
+    )
     with span("parallel.factor_sim", ranks=n_ranks, machine=machine.name):
         sim = Simulator(
             machine, n_ranks, threads_per_rank=threads_per_rank, trace=trace

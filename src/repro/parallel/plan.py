@@ -219,9 +219,10 @@ class FactorPlan:
             self._ea_runs_cache[c] = runs
         return self._ea_runs_cache[c]
 
-    def ea_pairs(self, c: int) -> set[tuple[int, int]]:
+    def ea_pairs(self, c: int, lower_only: bool = True) -> set[tuple[int, int]]:
         """Exact nonempty (sender, dest) global-rank pairs of the
-        extend-add of child *c* into its parent."""
+        extend-add of child *c* into its parent. A symmetric update ships
+        its lower triangle; ``lower_only=False`` is the full LU update."""
         sym = self.sym
         parent = int(sym.sn_parent[c])
         dc = self.dist[c]
@@ -230,16 +231,18 @@ class FactorPlan:
         pairs: set[tuple[int, int]] = set()
         for a in range(len(runs)):
             _, _, cba, pba = runs[a]
-            for b in range(a + 1):
+            for b in range(a + 1 if lower_only else len(runs)):
                 _, _, cbb, pbb = runs[b]
                 sender = dc.group[0] if dc.is_seq else dc.grid.owner(cba, cbb)
                 dest = dp.group[0] if dp.is_seq else dp.grid.owner(pba, pbb)
                 pairs.add((sender, dest))
         return pairs
 
-    def ea_senders_to(self, c: int, dest: int) -> list[int]:
+    def ea_senders_to(
+        self, c: int, dest: int, lower_only: bool = True
+    ) -> list[int]:
         """Sorted senders with a nonempty transfer of child *c* to *dest*."""
-        return sorted({s for s, d in self.ea_pairs(c) if d == dest})
+        return sorted({s for s, d in self.ea_pairs(c, lower_only) if d == dest})
 
     def ea_dests_from(self, c: int, sender: int) -> list[int]:
         """Sorted destinations of child *c*'s data held by *sender*."""

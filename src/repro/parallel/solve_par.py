@@ -12,6 +12,10 @@ segment broadcast to the group; update rows are then purely local dgemvs.
 The solve performs ~2 flops per factor entry — far lower arithmetic
 intensity than factorization — so its simulated scaling rolls off earlier,
 which is exactly the behaviour the paper family reports (bench T5).
+
+The LU factor (``method="lu"``) runs the same fan-in and fan-out: its
+forward sweep is the unit-lower one of LDLᵀ; its backward sweep solves
+with U over the full-width pivot rows the factorization redistributed.
 """
 
 from __future__ import annotations
@@ -203,10 +207,10 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
         yield from _recv_up(plan, s, me, f, seq_u, fwd_useg)
         panel = data.seq_panels[s]
         piv = f[:w]
-        if method == "ldlt":
-            solve_unit_lower_inplace(panel[:w, :], piv)
-        else:
+        if method == "cholesky":
             solve_lower_inplace(panel[:w, :], piv)
+        else:
+            solve_unit_lower_inplace(panel[:w, :], piv)
         fwd_piv[s] = piv
         fl = float(w * w + 2 * (m - w) * w)
         yield Compute(flops=fl, front_order=max(w, 8))
@@ -253,10 +257,10 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
                 if k > 0:
                     seg = seg - rowsk[:, :r0] @ x_piv_full[:r0]
                 diag = rowsk[:, r0:r1]
-                if method == "ldlt":
-                    solve_unit_lower_inplace(diag, seg)
-                else:
+                if method == "cholesky":
                     solve_lower_inplace(diag, seg)
+                else:
+                    solve_unit_lower_inplace(diag, seg)
                 fl += (r1 - r0) * (r0 + (r1 - r0))
                 payload = seg
             else:
@@ -283,10 +287,8 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
             yield from _send_up(plan, s, me, seq_u, fwd_useg)
         return fl + ufl
 
-    def _send_up(plan, s, me, seq_u, fwd_useg):
-        parent = int(plan.sym.sn_parent[s])
-        if parent < 0:
-            return
+    def _u_getter(s, seq_u, fwd_useg):
+        """u_getter of :func:`_pack_up` over supernode s's update vector."""
         d = plan.dist[s]
         if d.is_seq:
             u = seq_u[s]
@@ -303,7 +305,47 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
                 r0 = int(d.starts[bi])
                 return segs[bi][fa0 - r0: fa0 - r0 + (i1 - i0)]
 
-        packed = _pack_up(plan, s, me, getter)
+        return getter
+
+    def _x_getter(s, x_piv, seq_xupd, x_useg):
+        """x_getter of :func:`_pack_down` over supernode s's solution."""
+        d = plan.dist[s]
+        xp = x_piv[s]
+        if d.is_seq:
+            xu = seq_xupd[s]
+
+            def getter(pa_idx):
+                out = np.empty((pa_idx.size,) + tail)
+                piv = pa_idx < d.width
+                out[piv] = xp[pa_idx[piv]]
+                out[~piv] = xu[pa_idx[~piv] - d.width]
+                return out
+
+        else:
+            xsegs = x_useg[s]
+
+            def getter(pa_idx):
+                out = np.empty((pa_idx.size,) + tail)
+                piv = pa_idx < d.width
+                out[piv] = xp[pa_idx[piv]]
+                rest = pa_idx[~piv]
+                if rest.size:
+                    bis = d.block_of(rest)
+                    vals = np.empty((rest.size,) + tail)
+                    for bi in np.unique(bis):
+                        sel = bis == bi
+                        r0 = int(d.starts[bi])
+                        vals[sel] = xsegs[int(bi)][rest[sel] - r0]
+                    out[~piv] = vals
+                return out
+
+        return getter
+
+    def _send_up(plan, s, me, seq_u, fwd_useg):
+        parent = int(plan.sym.sn_parent[s])
+        if parent < 0:
+            return
+        packed = _pack_up(plan, s, me, _u_getter(s, seq_u, fwd_useg))
         for dest in sorted(packed):
             if dest == me:
                 continue
@@ -328,23 +370,7 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
             pairs = solve_pairs(plan, c)
             senders = sorted({src for src, dst in pairs if dst == me})
             if me in senders:
-                d_c = plan.dist[c]
-                if d_c.is_seq:
-                    u = seq_u[c]
-
-                    def getter(i0, i1, u=u):
-                        return u[i0:i1]
-
-                else:
-                    segs = fwd_useg[c]
-
-                    def getter(i0, i1, segs=segs, d_c=d_c):
-                        fa0 = i0 + d_c.width
-                        bi = int(d_c.block_of(np.asarray([fa0]))[0])
-                        r0 = int(d_c.starts[bi])
-                        return segs[bi][fa0 - r0: fa0 - r0 + (i1 - i0)]
-
-                packed = _pack_up(plan, c, me, getter)
+                packed = _pack_up(plan, c, me, _u_getter(c, seq_u, fwd_useg))
                 if me in packed:
                     apply(*packed[me])
             for sender in senders:
@@ -368,11 +394,17 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
         yield from _recv_down(plan, s, me, xu, x_piv, seq_xupd, x_useg)
         fl = float(w * w + 2 * (m - w) * w)
         if m > w:
-            rhs -= panel[w:, :].T @ xu
-        if method == "ldlt":
+            if method == "lu":
+                rhs -= data.seq_upanels[s] @ xu
+            else:
+                rhs -= panel[w:, :].T @ xu
+        if method == "cholesky":
+            solve_lower_transpose_inplace(panel[:w, :], rhs)
+        elif method == "ldlt":
             solve_unit_lower_transpose_inplace(panel[:w, :], rhs)
         else:
-            solve_lower_transpose_inplace(panel[:w, :], rhs)
+            # U x = rhs with U the upper triangle of the packed LU block.
+            solve_lower_transpose_inplace(panel[:w, :].T, rhs)
         x_piv[s] = rhs
         seq_xupd[s] = xu
         yield Compute(flops=fl, front_order=max(w, 8))
@@ -381,9 +413,7 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
         return fl
 
     def _bwd_dist(plan, s, me, data, method, fwd_piv, x_piv, seq_xupd, x_useg, comm):
-        sym = plan.sym
         d = plan.dist[s]
-        g = len(d.group)
         sub = Comm(me, d.group, ctx=("slvb", s))
         panels = data.dist_row_panels.get(s, {})
         my_blocks = [bi for bi in range(d.nblocks) if d.row_owner(bi) == me]
@@ -404,14 +434,30 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
                 xseg[int(bi)][fa[sel] - r0] = vals[sel]
 
         yield from _recv_down_dist(plan, s, me, apply, x_piv, seq_xupd, x_useg)
+        if method == "lu":
+            x_piv_full, fl = yield from _bwd_pivots_lu(
+                plan, s, me, sub, panels, xseg, fwd_piv[s]
+            )
+        else:
+            x_piv_full, fl = yield from _bwd_pivots_sym(
+                plan, s, me, sub, data, method, panels, xseg, fwd_piv[s]
+            )
+        x_piv[s] = x_piv_full
+        x_useg[s] = xseg
+        yield from _send_down(plan, s, me, x_piv, seq_xupd, x_useg)
+        return fl
 
+    def _bwd_pivots_sym(plan, s, me, sub, data, method, panels, xseg, yvec):
+        """Cholesky/LDLᵀ pivot sweep: Lᵀ over the w-wide pivot rows, with
+        direct correction sends between pivot-block owners."""
+        d = plan.dist[s]
+        g = len(d.group)
         # 2. Update-row corrections z = L21ᵀ x_update, group-summed.
         z = np.zeros((d.width,) + tail)
         fl = 0.0
-        for bi in my_blocks:
-            if bi >= d.npb:
-                z += panels[bi].T @ xseg[bi]
-                fl += 2.0 * panels[bi].shape[0] * d.width
+        for bi, xs in xseg.items():
+            z += panels[bi].T @ xs
+            fl += 2.0 * panels[bi].shape[0] * d.width
         if g > 1:
             z = yield from sub.allreduce(z)
         if fl:
@@ -421,7 +467,6 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
         # correction sends o_j -> o_k (k < j).
         x_piv_full = np.zeros((d.width,) + tail)
         corrections: dict[int, np.ndarray] = {}
-        yvec = fwd_piv[s]
         diag_map = data.dist_diag.get(s, {})
         for k in range(d.npb - 1, -1, -1):
             owner = d.row_owner(k)
@@ -447,7 +492,6 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
                 x_piv_full[r0:r1] = rhs
                 _dist_xpiv[(s, k)] = rhs
                 # Send corrections to earlier pivot owners.
-                pend: dict[int, np.ndarray] = {}
                 for kk in range(k):
                     rr0, rr1 = d.block_range(kk)
                     contrib = rowsk[:, rr0:rr1].T @ rhs
@@ -463,55 +507,55 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
                     yield Compute(
                         flops=2.0 * (r1 - r0) * r0, front_order=plan.opts.nb
                     )
-            else:
-                # Non-owners only relay nothing; corrections they owe were
-                # produced when they owned a later block (handled above).
-                pass
         # Broadcast assembled x_piv so every member can serve children.
         if g > 1:
             # Gather piecewise: owners hold their segments; share via
             # allreduce of the (sparse) full vector — w is small.
             x_piv_full = yield from sub.allreduce(x_piv_full)
-        x_piv[s] = x_piv_full
-        x_useg[s] = xseg
-        yield from _send_down(plan, s, me, x_piv, seq_xupd, x_useg)
-        return fl
+        return x_piv_full, fl
+
+    def _bwd_pivots_lu(plan, s, me, sub, panels, xseg, yvec):
+        """LU pivot sweep: U over the full-width pivot rows. The update-row
+        solution is summed over the group once; each pivot-block owner then
+        solves its rows and broadcasts the segment."""
+        d = plan.dist[s]
+        w = d.width
+        mu = d.m - w
+        xu_full = np.zeros((mu,) + tail)
+        for bi, seg in xseg.items():
+            r0, _ = d.block_range(bi)
+            xu_full[r0 - w: r0 - w + seg.shape[0]] = seg
+        if len(d.group) > 1 and mu:
+            xu_full = yield from sub.allreduce(xu_full)
+        x_piv_full = np.zeros((w,) + tail)
+        fl = 0.0
+        for k in range(d.npb - 1, -1, -1):
+            r0, r1 = d.block_range(k)
+            owner = d.row_owner(k)
+            if owner == me:
+                arr = panels[k]
+                rhs = yvec[r0:r1].copy()
+                if r1 < w:
+                    rhs -= arr[:, r1:w] @ x_piv_full[r1:]
+                if mu:
+                    rhs -= arr[:, w:] @ xu_full
+                solve_lower_transpose_inplace(arr[:, r0:r1].T, rhs)
+                fl += (r1 - r0) * (d.m - r0)
+                payload = rhs
+            else:
+                payload = None
+            seg = yield from sub.bcast(payload, root=k % len(d.group))
+            x_piv_full[r0:r1] = seg
+            if owner == me:
+                _dist_xpiv[(s, k)] = seg
+        if d.npb:
+            yield Compute(flops=fl, front_order=plan.opts.nb)
+        return x_piv_full, fl
 
     def _send_down(plan, s, me, x_piv, seq_xupd, x_useg):
-        d = plan.dist[s]
+        # Backward: parent-side owner sends, child-side owner receives.
+        x_getter = _x_getter(s, x_piv, seq_xupd, x_useg)
         for c in plan.sym.sn_children[s]:
-            pairs = solve_pairs(plan, c)
-            # Backward: parent-side owner sends, child-side owner receives.
-            if d.is_seq:
-                xp = x_piv[s]
-                xu = seq_xupd[s]
-
-                def x_getter(pa_idx, xp=xp, xu=xu, w=d.width):
-                    out = np.empty((pa_idx.size,) + tail)
-                    piv = pa_idx < w
-                    out[piv] = xp[pa_idx[piv]]
-                    out[~piv] = xu[pa_idx[~piv] - w]
-                    return out
-
-            else:
-                xp = x_piv[s]
-                xsegs = x_useg[s]
-
-                def x_getter(pa_idx, xp=xp, xsegs=xsegs, d=d):
-                    out = np.empty((pa_idx.size,) + tail)
-                    piv = pa_idx < d.width
-                    out[piv] = xp[pa_idx[piv]]
-                    rest = pa_idx[~piv]
-                    if rest.size:
-                        bis = d.block_of(rest)
-                        vals = np.empty((rest.size,) + tail)
-                        for bi in np.unique(bis):
-                            sel = bis == bi
-                            r0 = int(d.starts[bi])
-                            vals[sel] = xsegs[int(bi)][rest[sel] - r0]
-                        out[~piv] = vals
-                    return out
-
             packed = _pack_down(plan, c, me, x_getter)
             for dest in sorted(packed):
                 if dest == me:
@@ -536,40 +580,10 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
         pairs = solve_pairs(plan, s)
         # Pairs are (child_side, parent_side); backward messages flow
         # parent_side -> child_side.
-        dp = plan.dist[parent]
         senders_to_me = sorted({dst for src, dst in pairs if src == me})
         # Parent-side local values:
         if (me, me) in pairs:
-            if dp.is_seq:
-                xp = x_piv[parent]
-                xu_p = seq_xupd[parent]
-
-                def x_getter(pa_idx, xp=xp, xu_p=xu_p, w=dp.width):
-                    out = np.empty((pa_idx.size,) + tail)
-                    piv = pa_idx < w
-                    out[piv] = xp[pa_idx[piv]]
-                    out[~piv] = xu_p[pa_idx[~piv] - w]
-                    return out
-
-            else:
-                xp = x_piv[parent]
-                xsegs = x_useg[parent]
-
-                def x_getter(pa_idx, xp=xp, xsegs=xsegs, dp=dp):
-                    out = np.empty((pa_idx.size,) + tail)
-                    piv = pa_idx < dp.width
-                    out[piv] = xp[pa_idx[piv]]
-                    rest = pa_idx[~piv]
-                    if rest.size:
-                        bis = dp.block_of(rest)
-                        vals = np.empty((rest.size,) + tail)
-                        for bi in np.unique(bis):
-                            sel = bis == bi
-                            r0 = int(dp.starts[bi])
-                            vals[sel] = xsegs[int(bi)][rest[sel] - r0]
-                        out[~piv] = vals
-                    return out
-
+            x_getter = _x_getter(parent, x_piv, seq_xupd, x_useg)
             packed = _pack_down(plan, s, me, x_getter)
             if me in packed:
                 apply(*packed[me])

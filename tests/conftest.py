@@ -7,6 +7,8 @@ formats, orderings, and factorizations.
 import numpy as np
 import pytest
 
+from repro.core import UnsymmetricSolver
+from repro.gen import convection_diffusion2d
 from repro.sparse import COOMatrix, coo_to_csc
 from repro.sparse.ops import tril
 from repro.util.rng import make_rng
@@ -35,6 +37,16 @@ def small_spd_lower(rng):
     dense = random_spd_dense(12, 0.3, rng)
     full = coo_to_csc(COOMatrix.from_dense(dense))
     return tril(full), dense
+
+
+@pytest.fixture(scope="module")
+def lu_problem():
+    """A small convection-diffusion matrix and its factored sequential LU
+    solver (the reference for the simulated LU engine)."""
+    a = convection_diffusion2d(8, wind=(1.0, -0.4), peclet=1.5)
+    seq = UnsymmetricSolver(a)
+    seq.factor()
+    return a, seq
 
 
 def dense_lower_to_csc(dense_lower: np.ndarray):

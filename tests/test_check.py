@@ -220,10 +220,18 @@ class TestCommCheck:
         report = commcheck.check_trace(t, ledger=ledger)
         assert any(f.code == "conservation" for f in report.errors)
 
-    def test_traced_simulation_is_clean(self):
-        _, sym = analyzed_grid(8)
+    @pytest.mark.parametrize("method", ["cholesky", "ldlt", "lu"])
+    def test_traced_simulation_is_clean(self, method, request):
+        lu_inputs = {}
+        if method == "lu":
+            _, seq = request.getfixturevalue("lu_problem")
+            sym = seq.sym
+            lu_inputs["permuted_full"] = seq.permuted_full
+        else:
+            _, sym = analyzed_grid(8)
         res = simulate_factorization(
-            sym, 4, GENERIC_CLUSTER, PlanOptions(nb=4), trace=True
+            sym, 4, GENERIC_CLUSTER, PlanOptions(nb=4), method=method,
+            trace=True, **lu_inputs,
         )
         report = commcheck.check_sim_result(res.sim)
         assert report.ok, report.summary()

@@ -6,11 +6,12 @@ import pytest
 from repro.core import ParallelConfig, UnsymmetricSolver
 from repro.gen import convection_diffusion2d
 from repro.machine import BLUEGENE_P, GENERIC_CLUSTER
-from repro.parallel import PlanOptions
-from repro.parallel.lu_par import (
-    ea_pairs_full,
-    simulate_lu_factorization,
-    simulate_lu_solve,
+from repro.obs import recording
+from repro.parallel import (
+    ParallelFactorResult,
+    PlanOptions,
+    simulate_factorization,
+    simulate_solve,
 )
 from repro.sparse import CSCMatrix
 from repro.sparse.ops import matvec_csc
@@ -18,98 +19,122 @@ from repro.util.errors import ReproError, ShapeError
 from repro.util.rng import make_rng
 
 
-@pytest.fixture(scope="module")
-def problem():
-    a = convection_diffusion2d(8, wind=(1.0, -0.4), peclet=1.5)
-    seq = UnsymmetricSolver(a)
-    seq.factor()
-    return a, seq
-
-
 class TestDistributedLUFactor:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
-    def test_matches_sequential(self, problem, p):
-        a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, p, GENERIC_CLUSTER, PlanOptions(nb=8)
+    def test_matches_sequential(self, lu_problem, p):
+        a, seq = lu_problem
+        res = simulate_factorization(
+            seq.sym,
+            p,
+            GENERIC_CLUSTER,
+            PlanOptions(nb=8),
+            method="lu",
+            permuted_full=seq.permuted_full,
         )
         l_ref, u_ref = seq.factor_data.to_dense_lu()
         l, u = res.to_dense_lu()
         np.testing.assert_allclose(l, l_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(u, u_ref, rtol=1e-9, atol=1e-9)
+        assert res.peak_entries_by_rank().min() > 0
 
     @pytest.mark.parametrize("policy", ["2d", "1d"])
-    def test_policies(self, problem, policy):
-        a, seq = problem
-        res = simulate_lu_factorization(
+    def test_policies(self, lu_problem, policy):
+        a, seq = lu_problem
+        res = simulate_factorization(
             seq.sym,
-            seq.permuted_full,
             4,
             GENERIC_CLUSTER,
             PlanOptions(nb=8, policy=policy),
+            method="lu",
+            permuted_full=seq.permuted_full,
         )
         l_ref, u_ref = seq.factor_data.to_dense_lu()
         l, u = res.to_dense_lu()
         np.testing.assert_allclose(l, l_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(u, u_ref, rtol=1e-9, atol=1e-9)
 
-    def test_flops_about_double_symmetric(self, problem):
+    def test_flops_about_double_symmetric(self, lu_problem):
         """LU on the symmetrized structure counts ~2x the Cholesky flops."""
-        a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, 2, GENERIC_CLUSTER, PlanOptions(nb=8)
+        a, seq = lu_problem
+        res = simulate_factorization(
+            seq.sym,
+            2,
+            GENERIC_CLUSTER,
+            PlanOptions(nb=8),
+            method="lu",
+            permuted_full=seq.permuted_full,
         )
         sym_flops = sum(
             seq.sym.supernode_flops(s) for s in range(seq.sym.n_supernodes)
         )
         assert res.total_flops == pytest.approx(2 * sym_flops, rel=0.35)
 
-    def test_ea_pairs_full_superset_of_triangular(self, problem):
+    def test_ea_pairs_full_superset_of_triangular(self, lu_problem):
         from repro.parallel import FactorPlan
 
-        _, seq = problem
+        _, seq = lu_problem
         plan = FactorPlan(seq.sym, 4, PlanOptions(nb=8))
         for c in range(seq.sym.n_supernodes):
             if seq.sym.sn_parent[c] < 0:
                 continue
-            assert plan.ea_pairs(c) <= ea_pairs_full(plan, c)
+            assert plan.ea_pairs(c) <= plan.ea_pairs(c, lower_only=False)
 
 
 class TestDistributedLUSolve:
     @pytest.mark.parametrize("p", [1, 2, 4, 6])
-    def test_residual(self, problem, p):
-        a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, p, GENERIC_CLUSTER, PlanOptions(nb=8)
+    def test_residual(self, lu_problem, p):
+        a, seq = lu_problem
+        res = simulate_factorization(
+            seq.sym,
+            p,
+            GENERIC_CLUSTER,
+            PlanOptions(nb=8),
+            method="lu",
+            permuted_full=seq.permuted_full,
         )
         b = make_rng(p).standard_normal(a.shape[0])
-        _sim, x = simulate_lu_solve(res, b)
+        sres = simulate_solve(res, b)
+        x = sres.x
         r = np.max(np.abs(b - matvec_csc(a, x)))
         assert r < 1e-10 * max(1.0, np.max(np.abs(b)))
+        assert sres.total_flops > 0
 
-    def test_matches_numpy(self, problem):
-        a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, 4, GENERIC_CLUSTER, PlanOptions(nb=8)
-        )
+    def test_matches_numpy(self, lu_problem):
+        a, seq = lu_problem
         b = make_rng(3).standard_normal(a.shape[0])
-        _sim, x = simulate_lu_solve(res, b)
+        with recording() as rec:
+            res = simulate_factorization(
+                seq.sym,
+                4,
+                GENERIC_CLUSTER,
+                PlanOptions(nb=8),
+                method="lu",
+                permuted_full=seq.permuted_full,
+            )
+            x = simulate_solve(res, b).x
         np.testing.assert_allclose(
             x, np.linalg.solve(a.to_dense(), b), rtol=1e-8
         )
+        names = {sp.name for sp in rec.spans}
+        assert {"parallel.plan", "parallel.factor_sim", "parallel.solve_sim"} <= names
 
-    def test_bad_rhs_shape(self, problem):
-        a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, 2, GENERIC_CLUSTER, PlanOptions(nb=8)
+    def test_bad_rhs_shape(self, lu_problem):
+        a, seq = lu_problem
+        res = simulate_factorization(
+            seq.sym,
+            2,
+            GENERIC_CLUSTER,
+            PlanOptions(nb=8),
+            method="lu",
+            permuted_full=seq.permuted_full,
         )
         with pytest.raises(ShapeError):
-            simulate_lu_solve(res, np.ones(3))
+            simulate_solve(res, np.ones(3))
 
 
 class TestLUSolverSimulateAPI:
-    def test_simulate_with_verify_and_solve(self, problem):
-        a, _ = problem
+    def test_simulate_with_verify_and_solve(self, lu_problem):
+        a, _ = lu_problem
         solver = UnsymmetricSolver(a)
         b = np.ones(a.shape[0])
         cfg = ParallelConfig(n_ranks=4, machine=BLUEGENE_P, nb=8)
@@ -118,20 +143,18 @@ class TestLUSolverSimulateAPI:
         assert r < 1e-9
         assert res.makespan > 0
 
-    def test_simulate_detects_corruption(self, problem, monkeypatch):
-        a, _ = problem
+    def test_simulate_detects_corruption(self, lu_problem, monkeypatch):
+        a, _ = lu_problem
         solver = UnsymmetricSolver(a)
         solver.factor()
-        from repro.parallel.lu_par import ParallelLUResult
-
-        real = ParallelLUResult.to_dense_lu
+        real = ParallelFactorResult.to_dense_lu
 
         def corrupted(self):
             l, u = real(self)
             u[0, 0] += 1.0
             return l, u
 
-        monkeypatch.setattr(ParallelLUResult, "to_dense_lu", corrupted)
+        monkeypatch.setattr(ParallelFactorResult, "to_dense_lu", corrupted)
         with pytest.raises(ReproError, match="mismatch"):
             solver.simulate(
                 ParallelConfig(n_ranks=2, machine=GENERIC_CLUSTER, nb=8),
@@ -144,33 +167,44 @@ class TestLUSolverSimulateAPI:
         a = convection_diffusion2d(16, peclet=1.0)
         solver = UnsymmetricSolver(a)
         solver.analyze()
-        t1 = simulate_lu_factorization(
-            solver.sym, solver.permuted_full, 1, BLUEGENE_P, PlanOptions(nb=16)
+        t1 = simulate_factorization(
+            solver.sym,
+            1,
+            BLUEGENE_P,
+            PlanOptions(nb=16),
+            method="lu",
+            permuted_full=solver.permuted_full,
         ).makespan
-        t8 = simulate_lu_factorization(
-            solver.sym, solver.permuted_full, 8, BLUEGENE_P, PlanOptions(nb=16)
+        t8 = simulate_factorization(
+            solver.sym,
+            8,
+            BLUEGENE_P,
+            PlanOptions(nb=16),
+            method="lu",
+            permuted_full=solver.permuted_full,
         ).makespan
         assert t8 < t1
 
 
 class TestLUStaticPolicy:
-    def test_static_policy_matches(self, problem):
+    def test_static_policy_matches(self, lu_problem):
         """Static-grid mapping exercises cross-rank extend-add between
         sequential supernodes (children scattered over ranks)."""
-        a, seq = problem
-        res = simulate_lu_factorization(
+        a, seq = lu_problem
+        res = simulate_factorization(
             seq.sym,
-            seq.permuted_full,
             4,
             GENERIC_CLUSTER,
             PlanOptions(nb=8, policy="static"),
+            method="lu",
+            permuted_full=seq.permuted_full,
         )
         l_ref, u_ref = seq.factor_data.to_dense_lu()
         l, u = res.to_dense_lu()
         np.testing.assert_allclose(l, l_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(u, u_ref, rtol=1e-9, atol=1e-9)
         b = make_rng(5).standard_normal(a.shape[0])
-        _sim, x = simulate_lu_solve(res, b)
+        x = simulate_solve(res, b).x
         r = np.max(np.abs(b - matvec_csc(a, x)))
         assert r < 1e-10
 
@@ -188,46 +222,66 @@ class TestLUPropertyPipeline:
         a = CSCMatrix.from_dense(dense)
         solver = UnsymmetricSolver(a)
         solver.analyze()
-        res = simulate_lu_factorization(
-            solver.sym, solver.permuted_full, p, GENERIC_CLUSTER, PlanOptions(nb=4)
+        res = simulate_factorization(
+            solver.sym,
+            p,
+            GENERIC_CLUSTER,
+            PlanOptions(nb=4),
+            method="lu",
+            permuted_full=solver.permuted_full,
         )
         b = rng.standard_normal(n)
-        _sim, x = simulate_lu_solve(res, b)
+        x = simulate_solve(res, b).x
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-7, atol=1e-9)
 
 
 class TestLUMultiRHS:
     @pytest.mark.parametrize("k", [2, 4])
-    def test_block_residuals(self, problem, k):
-        a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, 4, GENERIC_CLUSTER, PlanOptions(nb=8)
+    def test_block_residuals(self, lu_problem, k):
+        a, seq = lu_problem
+        res = simulate_factorization(
+            seq.sym,
+            4,
+            GENERIC_CLUSTER,
+            PlanOptions(nb=8),
+            method="lu",
+            permuted_full=seq.permuted_full,
         )
         n = a.shape[0]
         b = make_rng(20 + k).standard_normal((n, k))
-        _sim, x = simulate_lu_solve(res, b)
+        x = simulate_solve(res, b).x
         assert x.shape == (n, k)
         for j in range(k):
             r = np.max(np.abs(b[:, j] - matvec_csc(a, x[:, j])))
             assert r < 1e-10
 
-    def test_block_matches_single(self, problem):
-        a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, 3, GENERIC_CLUSTER, PlanOptions(nb=8)
+    def test_block_matches_single(self, lu_problem):
+        a, seq = lu_problem
+        res = simulate_factorization(
+            seq.sym,
+            3,
+            GENERIC_CLUSTER,
+            PlanOptions(nb=8),
+            method="lu",
+            permuted_full=seq.permuted_full,
         )
         b = make_rng(30).standard_normal((a.shape[0], 3))
-        _s, xb = simulate_lu_solve(res, b)
+        xb = simulate_solve(res, b).x
         for j in range(3):
-            _s, xj = simulate_lu_solve(res, b[:, j])
+            xj = simulate_solve(res, b[:, j]).x
             np.testing.assert_allclose(xb[:, j], xj, rtol=1e-12)
 
-    def test_block_amortizes(self, problem):
-        a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, 4, GENERIC_CLUSTER, PlanOptions(nb=8)
+    def test_block_amortizes(self, lu_problem):
+        a, seq = lu_problem
+        res = simulate_factorization(
+            seq.sym,
+            4,
+            GENERIC_CLUSTER,
+            PlanOptions(nb=8),
+            method="lu",
+            permuted_full=seq.permuted_full,
         )
         b = make_rng(31).standard_normal((a.shape[0], 8))
-        s_block, _ = simulate_lu_solve(res, b)
-        s_single, _ = simulate_lu_solve(res, b[:, 0])
+        s_block = simulate_solve(res, b)
+        s_single = simulate_solve(res, b[:, 0])
         assert s_block.makespan < 4 * s_single.makespan

@@ -260,3 +260,41 @@ class TestScalingBehaviour:
             big, 4, BLUEGENE_P, PlanOptions(nb=32), threads_per_rank=4
         )
         assert r4.sim.ledger.n_messages < r16.sim.ledger.n_messages
+
+
+class TestPinnedCommunication:
+    """The rank programs' communication, pinned so that any change to
+    them fails loudly instead of drifting. Columns: method, ranks, factor
+    messages, bytes and makespan [s], solve messages and bytes. Cholesky
+    and LDLᵀ run the 8×8 Laplacian, LU the 8×8 convection-diffusion
+    matrix of ``lu_problem``; ``PlanOptions(nb=8)`` on GENERIC_CLUSTER."""
+
+    TABLE = [
+        ("cholesky", 2, 6, 2152, 1.1695848075082812e-05, 15, 2024),
+        ("cholesky", 4, 26, 8204, 3.125810757575758e-05, 60, 7272),
+        ("cholesky", 8, 66, 16984, 6.529168863636367e-05, 168, 19640),
+        ("ldlt", 2, 8, 2408, 1.661121474174948e-05, 15, 2024),
+        ("ldlt", 4, 35, 9428, 4.545170757575757e-05, 60, 7272),
+        ("ldlt", 8, 95, 20552, 9.767568863636363e-05, 168, 19640),
+        ("lu", 2, 9, 4276, 1.7634896150165625e-05, 12, 1384),
+        ("lu", 4, 36, 13096, 4.1163081818181826e-05, 50, 5424),
+        ("lu", 8, 95, 27556, 8.48410772727273e-05, 138, 15088),
+    ]
+
+    @pytest.mark.parametrize("row", TABLE, ids=lambda r: f"{r[0]}-p{r[1]}")
+    def test_messages_bytes_makespan(self, row, request):
+        method, p, f_msgs, f_bytes, f_makespan, s_msgs, s_bytes = row
+        if method == "lu":
+            _, seq = request.getfixturevalue("lu_problem")
+            sym, lu_inputs = seq.sym, {"permuted_full": seq.permuted_full}
+        else:
+            sym, lu_inputs = analyzed(grid2d_laplacian(8)), {}
+        res = simulate_factorization(
+            sym, p, MACHINE, PlanOptions(nb=8), method=method, **lu_inputs
+        )
+        sres = simulate_solve(res, np.ones(sym.n))
+        assert res.sim.ledger.n_messages == f_msgs
+        assert res.sim.ledger.total_bytes == f_bytes
+        assert res.makespan == pytest.approx(f_makespan, rel=1e-12)
+        assert sres.sim.ledger.n_messages == s_msgs
+        assert sres.sim.ledger.total_bytes == s_bytes
