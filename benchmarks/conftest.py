@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-# Allow `import harness` when pytest is invoked from the repo root.
+# Allow `import harness` when pytest is invoked from the repo root, and
+# `from tests import nd_reference` (T2's reference kernels) from anywhere.
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent))
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.structure import AdjacencyGraph
-from repro.graph.traversal import bfs_levels, pseudo_peripheral_vertex
+from repro.graph.bisection import fm_refine
+from repro.graph.traversal import peripheral_levels
 from repro.util.errors import OrderingError
 from repro.util.rng import make_rng
 
@@ -128,8 +129,7 @@ def _initial_bisection(g: WeightedGraph, balance: float, rng) -> np.ndarray:
     if n == 1:
         return np.zeros(1, dtype=bool)
     plain = AdjacencyGraph(n, g.xadj, g.adjncy, _skip_check=True)
-    start = pseudo_peripheral_vertex(plain, int(rng.integers(0, n)))
-    levels = bfs_levels(plain, start)
+    _, levels = peripheral_levels(plain, int(rng.integers(0, n)))
     sort_key = np.where(levels >= 0, levels, np.iinfo(np.int64).max)
     order = np.lexsort((np.arange(n), sort_key))
     total = int(g.vwgt.sum())
@@ -141,60 +141,6 @@ def _initial_bisection(g: WeightedGraph, balance: float, rng) -> np.ndarray:
         else:
             acc += int(g.vwgt[u])
     return side
-
-
-def _weighted_fm_pass(g: WeightedGraph, side: np.ndarray, max_w: int) -> bool:
-    """One weighted FM sweep (edge-weight gains, vertex-weight balance)."""
-    n = g.n
-    deg = np.diff(g.xadj)
-    src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    cut_edge = side[src] != side[g.adjncy]
-    ext = np.zeros(n, dtype=np.int64)
-    np.add.at(ext, src, np.where(cut_edge, g.adjwgt, 0))
-    tot = np.zeros(n, dtype=np.int64)
-    np.add.at(tot, src, g.adjwgt)
-    gains = 2 * ext - tot
-
-    locked = np.zeros(n, dtype=bool)
-    w1 = int(g.vwgt[side].sum())
-    sizes = [int(g.vwgt.sum()) - w1, w1]
-    moves: list[int] = []
-    cum = best = 0
-    best_prefix = 0
-    for _ in range(n):
-        room1 = sizes[1] < max_w
-        room0 = sizes[0] < max_w
-        can = ~locked & np.where(side, room0, room1)
-        cand = np.flatnonzero(can)
-        if cand.size == 0:
-            break
-        v = int(cand[np.argmax(gains[cand])])
-        gv = int(gains[v])
-        s = int(side[v])
-        wv = int(g.vwgt[v])
-        if sizes[1 - s] + wv > max_w:
-            locked[v] = True
-            continue
-        sizes[s] -= wv
-        sizes[1 - s] += wv
-        side[v] = not side[v]
-        locked[v] = True
-        moves.append(v)
-        cum += gv
-        if cum > best:
-            best = cum
-            best_prefix = len(moves)
-        gains[v] = -gv
-        for k in range(int(g.xadj[v]), int(g.xadj[v + 1])):
-            u = int(g.adjncy[k])
-            w = int(g.adjwgt[k])
-            if side[u] != side[v]:
-                gains[u] += 2 * w
-            else:
-                gains[u] -= 2 * w
-    for v in moves[best_prefix:]:
-        side[v] = not side[v]
-    return best > 0
 
 
 def bisect_multilevel(
@@ -228,16 +174,18 @@ def bisect_multilevel(
     total = int(wg.vwgt.sum())
     max_w = max(int(np.floor(balance * total)), total // 2 + total % 2)
     side = _initial_bisection(wg, balance, rng)
-    for _ in range(refine_passes):
-        if not _weighted_fm_pass(wg, side, max_w):
-            break
+    fm_refine(
+        wg.xadj, wg.adjncy, side, max_w, refine_passes,
+        adjwgt=wg.adjwgt, vwgt=wg.vwgt,
+    )
 
     # Uncoarsen with refinement at every level.
     for fine, cmap in reversed(levels):
         side = side[cmap]
         ftotal = int(fine.vwgt.sum())
         fmax = max(int(np.floor(balance * ftotal)), ftotal // 2 + ftotal % 2)
-        for _ in range(refine_passes):
-            if not _weighted_fm_pass(fine, side, fmax):
-                break
+        fm_refine(
+            fine.xadj, fine.adjncy, side, fmax, refine_passes,
+            adjwgt=fine.adjwgt, vwgt=fine.vwgt,
+        )
     return side

@@ -69,6 +69,14 @@ class AdjacencyGraph:
         """View of the sorted neighbour list of *u*."""
         return self.adjncy[self.xadj[u]: self.xadj[u + 1]]
 
+    def neighbors_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Concatenated neighbour lists of *rows* (in the order given) and
+        the length of each list, gathered without a per-row loop."""
+        lo = self.xadj[rows]
+        cnt = self.xadj[rows + 1] - lo
+        offsets = np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+        return self.adjncy[offsets + np.arange(offsets.size, dtype=np.int64)], cnt
+
     @classmethod
     def from_symmetric_lower(cls, lower: CSCMatrix) -> "AdjacencyGraph":
         """Adjacency graph of a symmetric matrix given as its lower triangle
@@ -101,19 +109,18 @@ class AdjacencyGraph:
         subgraph vertex ``k``.
         """
         vmap = as_index_array(vertices, "vertices")
+        k = vmap.size
         inv = np.full(self.n, -1, dtype=np.int64)
-        inv[vmap] = np.arange(vmap.size, dtype=np.int64)
-        xadj = [0]
-        adjncy = []
-        for k in range(vmap.size):
-            local = inv[self.neighbors(vmap[k])]
-            local = local[local >= 0]
-            adjncy.append(np.sort(local))
-            xadj.append(xadj[-1] + local.size)
-        adj = np.concatenate(adjncy) if adjncy else np.empty(0, dtype=np.int64)
-        sub = AdjacencyGraph(
-            vmap.size, np.asarray(xadj, dtype=np.int64), adj, _skip_check=True
-        )
+        inv[vmap] = np.arange(k, dtype=np.int64)
+        nbrs, cnt = self.neighbors_of(vmap)
+        local = inv[nbrs]
+        row = np.repeat(np.arange(k, dtype=np.int64), cnt)
+        keep = local >= 0
+        row, local = row[keep], local[keep]
+        adj = local[np.lexsort((local, row))]
+        xadj = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=k), out=xadj[1:])
+        sub = AdjacencyGraph(k, xadj, adj, _skip_check=True)
         return sub, vmap
 
     def __repr__(self) -> str:

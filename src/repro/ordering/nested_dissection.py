@@ -19,6 +19,7 @@ from repro.graph.structure import AdjacencyGraph
 from repro.graph.bisection import bisect
 from repro.graph.separators import vertex_separator_from_bisection
 from repro.ordering.amd import amd_order
+from repro.util.errors import InvariantError
 
 
 @dataclass(frozen=True)
@@ -49,17 +50,18 @@ def nested_dissection_order(
     elimination tree.
     """
     opts = options or NDOptions()
-    out: list[int] = []
+    out: list[np.ndarray] = []
     _nd_recurse(g, np.arange(g.n, dtype=np.int64), out, opts, depth=0)
-    perm = np.asarray(out, dtype=np.int64)
-    assert perm.size == g.n
+    perm = np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+    if perm.size != g.n:
+        raise InvariantError(f"nested dissection ordered {perm.size} of {g.n} vertices")
     return perm
 
 
 def _nd_recurse(
     g: AdjacencyGraph,
     vmap: np.ndarray,
-    out: list[int],
+    out: list[np.ndarray],
     opts: NDOptions,
     depth: int,
 ) -> None:
@@ -68,8 +70,7 @@ def _nd_recurse(
         return
     depth_stop = opts.max_depth is not None and depth >= opts.max_depth
     if g.n <= opts.leaf_size or depth_stop:
-        local = amd_order(g)
-        out.extend(int(v) for v in vmap[local])
+        out.append(vmap[amd_order(g)])
         return
 
     # Bisect per connected component implicitly: bisect() already assigns
@@ -87,8 +88,7 @@ def _nd_recurse(
     if sep.size == 0 and (part0.size == 0 or part1.size == 0):
         # Bisection failed to split (e.g. complete graph collapsed to one
         # side) — fall back to AMD to guarantee progress.
-        local = amd_order(g)
-        out.extend(int(v) for v in vmap[local])
+        out.append(vmap[amd_order(g)])
         return
 
     for part in (part0, part1):
@@ -102,10 +102,9 @@ def _nd_recurse(
     if sep.size:
         if sep.size > 2:
             sep_sub, sep_vmap = g.subgraph(sep)
-            local = amd_order(sep_sub)
-            out.extend(int(v) for v in vmap[sep_vmap[local]])
+            out.append(vmap[sep_vmap[amd_order(sep_sub)]])
         else:
-            out.extend(int(v) for v in vmap[sep])
+            out.append(vmap[sep])
 
 
 def nd_separator_tree_sizes(g: AdjacencyGraph, options: NDOptions | None = None):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.structure import AdjacencyGraph
-from repro.graph.traversal import pseudo_peripheral_vertex
+from repro.graph.traversal import bfs_fill, pseudo_peripheral_vertex
+from repro.util.errors import InvariantError
 
 
 def rcm_order(g: AdjacencyGraph) -> np.ndarray:
@@ -20,30 +21,14 @@ def rcm_order(g: AdjacencyGraph) -> np.ndarray:
     Handles disconnected graphs by restarting from a pseudo-peripheral
     vertex of each unvisited component.
     """
-    n = g.n
-    visited = np.zeros(n, dtype=bool)
-    degs = g.degrees()
-    order = np.empty(n, dtype=np.int64)
-    pos = 0
-    for s in range(n):
-        if visited[s]:
+    seen = np.full(g.n, -1, dtype=np.int64)
+    parts = []
+    for s in range(g.n):
+        if seen[s] >= 0:
             continue
-        start = pseudo_peripheral_vertex(g, s)
-        if visited[start]:  # peripheral search stays in s's component, but be safe
-            start = s
-        visited[start] = True
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            order[pos] = u
-            pos += 1
-            nbrs = g.neighbors(u)
-            fresh = nbrs[~visited[nbrs]]
-            if fresh.size:
-                fresh = fresh[np.argsort(degs[fresh], kind="stable")]
-                visited[fresh] = True
-                queue.extend(int(v) for v in fresh)
-    assert pos == n
+        # The peripheral search stays in s's component, which is unvisited.
+        parts.append(bfs_fill(g, pseudo_peripheral_vertex(g, s), seen))
+    order = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    if order.size != g.n:
+        raise InvariantError(f"RCM visited {order.size} of {g.n} vertices")
     return order[::-1].copy()

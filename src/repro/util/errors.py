@@ -79,7 +79,10 @@ class InvariantError(ReproError, RuntimeError):
     Raised by the sanitizer hooks that run inside hot paths when
     ``REPRO_CHECK=1`` — a corrupted CSR/CSC index structure, an invalid
     permutation, an elimination-tree cycle, an uncovered supernode
-    partition, or an unbalanced frontal update stack."""
+    partition, or an unbalanced frontal update stack. Also raised,
+    unconditionally, by post-conditions that must hold even under
+    ``python -O`` (where ``assert`` is stripped): an ordering that does not
+    cover every vertex, an assembly plan that misplaces an entry."""
 
 
 class ExecBackendError(ReproError, RuntimeError):

@@ -14,8 +14,11 @@ from repro.graph import (
     vertex_separator_from_bisection,
 )
 from repro.graph.bisection import cut_size
+from repro.graph.multilevel import bisect_multilevel
 from repro.graph.separators import is_separator
 from repro.util.errors import OrderingError, ShapeError
+
+from tests import nd_reference
 
 
 def path_graph(n):
@@ -216,3 +219,34 @@ class TestSeparators:
         all_v = np.sort(np.concatenate([p0, p1, sep]))
         np.testing.assert_array_equal(all_v, np.arange(n))
         assert is_separator(g, p0, p1)
+
+
+class TestKernelIdentity:
+    """The heap FM, frontier BFS and vectorized subgraph reproduce the
+    original per-vertex kernels (``tests/nd_reference.py``) exactly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(nd_reference.graphs(), st.integers(0, 2**16))
+    def test_matches_reference(self, g, seed):
+        np.testing.assert_array_equal(bisect(g), nd_reference.bisect(g))
+        np.testing.assert_array_equal(
+            bisect_multilevel(g, coarsest=8), nd_reference.bisect_multilevel(g, coarsest=8)
+        )
+        np.testing.assert_array_equal(
+            connected_components(g), nd_reference.connected_components(g)
+        )
+        if g.n == 0:
+            return
+        rng = np.random.default_rng(seed)
+        start = int(rng.integers(0, g.n))
+        np.testing.assert_array_equal(bfs_levels(g, start), nd_reference.bfs_levels(g, start))
+        assert pseudo_peripheral_vertex(g, start) == nd_reference.pseudo_peripheral_vertex(g, start)
+        np.testing.assert_array_equal(
+            bisect(g, start=start), nd_reference.bisect(g, start=start)
+        )
+        verts = rng.permutation(g.n)[: int(rng.integers(0, g.n + 1))]
+        sub, vmap = g.subgraph(verts)
+        ref, ref_vmap = nd_reference.subgraph(g, verts)
+        for got, want in ((sub.xadj, ref.xadj), (sub.adjncy, ref.adjncy), (vmap, ref_vmap)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)

@@ -22,7 +22,9 @@ from repro.ordering import (
     get_ordering,
     ORDERINGS,
 )
-from repro.util.errors import OrderingError
+from repro.util.errors import InvariantError, OrderingError
+
+from tests import nd_reference
 
 
 def graph_of(lower):
@@ -179,6 +181,16 @@ class TestNestedDissection:
         perm = nested_dissection_order(g, NDOptions(max_depth=1))
         assert_valid_perm(perm, g.n)
 
+    def test_lost_vertex_raises_invariant_error(self, monkeypatch):
+        """The permutation-size post-condition survives ``python -O``."""
+        from repro.ordering import nested_dissection
+
+        monkeypatch.setattr(
+            nested_dissection, "amd_order", lambda g: amd_order(g)[1:]
+        )
+        with pytest.raises(InvariantError):
+            nested_dissection_order(graph_of(grid2d_laplacian(4)))
+
     def test_separator_goes_last(self):
         """The top-level separator must occupy the tail of the permutation."""
         from repro.graph.bisection import bisect
@@ -240,3 +252,32 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(OrderingError):
             get_ordering("metis")
+
+
+class TestReferenceIdentity:
+    """nd, nd-c, nd-ml and rcm give byte-identical permutations to the
+    original per-vertex kernels (``tests/nd_reference.py``)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(nd_reference.graphs())
+    def test_permutations_match(self, g):
+        got = {name: get_ordering(name)(g) for name in ("nd", "nd-c", "nd-ml")}
+        with nd_reference.reference_kernels():
+            want = {name: get_ordering(name)(g) for name in got}
+        got["rcm"] = rcm_order(g)
+        want["rcm"] = nd_reference.rcm_order(g)
+        for name, perm in got.items():
+            assert perm.dtype == want[name].dtype, name
+            assert perm.tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("name", ["nd", "nd-c", "nd-ml", "rcm"])
+    def test_fixed_grids_match(self, name):
+        """nd-ml only goes multilevel above 120 vertices: cover it here."""
+        for lower in (grid2d_laplacian(8), grid3d_laplacian(8)):
+            g = graph_of(lower)
+            if name == "rcm":
+                want = nd_reference.rcm_order(g)
+            else:
+                with nd_reference.reference_kernels():
+                    want = get_ordering(name)(g)
+            assert get_ordering(name)(g).tobytes() == want.tobytes()
